@@ -1,20 +1,21 @@
 //! Lane-width scaling of the multi-lane distance kernels and the
-//! amortization of batched kd-tree queries (PR 7's tentpole hardware).
+//! amortization of the blocked flat batch scan.
 //!
-//! Three kernel groups sweep every [`KernelPath`] over a 100k-row matrix
+//! Four kernel groups sweep every [`KernelPath`] over a 100k-row matrix
 //! so the scalar→lanes4→lanes8 progression is directly readable (the
 //! lane-width table in `docs/PERFORMANCE.md` comes from this target), and
-//! one group compares a shared batched tree traversal against the same
-//! queries answered one traversal at a time.
+//! one group compares the blocked nearest-neighbor batch scan against the
+//! same queries answered one flat scan at a time.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tclose_metrics::distance::{
-    centroid_ids_path, farthest_from_ids_path, min_sq_dist_excluding_path,
+    centroid_ids_path, farthest_from_ids_path, k_nearest_ids, min_sq_dist_excluding_path,
+    nearest_to_ids, nearest_to_many_ids,
 };
 use tclose_metrics::matrix::{Matrix, RowId};
 use tclose_metrics::sse::column_sq_err_with;
 use tclose_metrics::KernelPath;
-use tclose_microagg::{NeighborBackend, NeighborSet, Parallelism, QueryMode};
+use tclose_microagg::Parallelism;
 
 /// Deterministic synthetic rows (the `index_scaling` / perf-suite
 /// integer-hash construction, so the workloads line up across harnesses).
@@ -112,37 +113,42 @@ fn bench_centroid_sum(c: &mut Criterion) {
     group.finish();
 }
 
-/// Two batch workloads bracket the shared-traversal design space:
-/// `clustered` is the workload the batched mode exists for — V-MDAV's
-/// extension scan queries the members of one growing cluster, spatially
-/// co-located rows whose traversals overlap almost entirely — while
-/// `scattered` spreads the 64 queries across the whole data set, the
-/// worst case for a shared walk (a node is pruned only when *every*
-/// active query prunes it, so scattered queries drag each other through
-/// subtrees their solo traversals would skip).
-fn bench_batched_tree_queries(c: &mut Criterion) {
+/// V-MDAV's extension scan asks, for every member of a growing cluster,
+/// for its nearest unassigned record. The blocked batch scan answers all
+/// 64 queries in one pass over the matrix (each 4096-row block streams
+/// past every query); the reference answers them one full scan at a
+/// time. Both return identical ids.
+fn bench_batched_flat_queries(c: &mut Criterion) {
     let m = synthetic_matrix(N, DIMS);
     let live: Vec<RowId> = m.row_ids().collect();
-    let probe = NeighborSet::new(&m, NeighborBackend::KdTree, Parallelism::sequential());
-    let clustered: Vec<Vec<f64>> = probe
-        .k_nearest(&live, m.row(N / 2), 64)
-        .into_iter()
-        .map(|id| m.row(id).to_vec())
-        .collect();
-    let scattered: Vec<Vec<f64>> = (0..64).map(|i| m.row(i * 997 % N).to_vec()).collect();
-    for (workload, points) in [("clustered", &clustered), ("scattered", &scattered)] {
-        let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
-        let mut group = c.benchmark_group(format!("kernel_scaling/batch64_k8_{workload}"));
-        group.sample_size(20);
-        for mode in [QueryMode::Batched, QueryMode::PerQuery] {
-            let set = NeighborSet::new(&m, NeighborBackend::KdTree, Parallelism::sequential())
-                .with_query_mode(mode);
-            group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |b, _| {
-                b.iter(|| black_box(set.k_nearest_batch(&live, &refs, 8)));
-            });
-        }
-        group.finish();
-    }
+    let points: Vec<Vec<f64>> =
+        k_nearest_ids(&m, &live, m.row(N / 2), 64, Parallelism::sequential())
+            .into_iter()
+            .map(|id| m.row(id).to_vec())
+            .collect();
+    let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
+    let mut group = c.benchmark_group("kernel_scaling/nearest_batch64");
+    group.sample_size(20);
+    group.bench_function("blocked", |b| {
+        b.iter(|| {
+            black_box(nearest_to_many_ids(
+                &m,
+                &live,
+                &refs,
+                Parallelism::sequential(),
+            ))
+        });
+    });
+    group.bench_function("per-query", |b| {
+        b.iter(|| {
+            black_box(
+                refs.iter()
+                    .map(|p| nearest_to_ids(&m, &live, p, Parallelism::sequential()))
+                    .collect::<Vec<Option<RowId>>>(),
+            )
+        });
+    });
+    group.finish();
 }
 
 criterion_group!(
@@ -151,6 +157,6 @@ criterion_group!(
     bench_farthest_scan,
     bench_sse_column,
     bench_centroid_sum,
-    bench_batched_tree_queries,
+    bench_batched_flat_queries,
 );
 criterion_main!(benches);

@@ -25,9 +25,10 @@
 //! incomes), the EMD is computed over the *distinct-value* bins and a
 //! stratum can hide an atom at its far edge, degrading the bound by a
 //! factor that grows with tie mass. The implementation therefore runs one
-//! cheap verification pass after construction (`O(n·m/k)` — negligible
-//! next to clustering) and repairs any violating cluster with the
-//! Algorithm 1 merge step. On effectively-distinct data (the paper's
+//! verification pass after construction (`O(n·m/k)`) and repairs any
+//! violating cluster with the Algorithm 1 merge step. The pass is not
+//! free: on 200k patient records with 7 QIs in 10k-row shards it took
+//! 150 ms against 1013 ms for the clustering loop. On effectively-distinct data (the paper's
 //! Census file) the pass never fires and the output is the pure
 //! construction; [`TClosenessFirst::unchecked`] disables it for ablation.
 //!

@@ -7,6 +7,7 @@ pub mod ablation;
 pub mod approx_frontier;
 pub mod baseline_cmp;
 pub mod cluster_size;
+pub mod crossover;
 pub mod runtime;
 pub mod surface;
 pub mod utility;

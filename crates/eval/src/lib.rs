@@ -14,6 +14,8 @@
 //! | `fig7`   | Fig. 7 — SSE over (k, t)       | [`experiments::surface`] |
 //! | `baselines` | extension — Mondrian/SABRE  | [`experiments::baseline_cmp`] |
 //! | `ablation`  | extension — design choices  | [`experiments::ablation`] |
+//! | `frontier`  | extension — approximate backends | [`experiments::approx_frontier`] |
+//! | `crossover` | extension — `Auto`'s farthest-query cutoff | [`experiments::crossover`] |
 //!
 //! Run everything with the `repro` binary:
 //!

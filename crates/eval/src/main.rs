@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use tclose_core::Algorithm;
 use tclose_eval::experiments::{
-    ablation, approx_frontier, baseline_cmp, cluster_size, runtime, surface, utility,
+    ablation, approx_frontier, baseline_cmp, cluster_size, crossover, runtime, surface, utility,
 };
 use tclose_eval::render::Grid;
 use tclose_eval::{Context, Dataset};
@@ -91,7 +91,10 @@ usage: repro [--exp LIST] [--quick|--full] [--seed N] [--patient-n N] [--out DIR
 experiments: table1, table2, table3, fig5, fig6, fig7, baselines, ablation, all
              frontier (approximate-backend speed/utility; explicit only —
              not part of 'all', since the speed sweep partitions 1M rows
-             per backend; --quick shrinks it to 100k)";
+             per backend; --quick shrinks it to 100k)
+             crossover (Auto's farthest-query cutoff: Alg. 3 on flat vs
+             kd-tree, d = 2..8 × 2k/10k/50k shards; explicit only;
+             --quick drops the 50k shards)";
 
 fn emit(grid: Grid, slug: &str, out: &Option<PathBuf>) {
     println!("{}", grid.to_ascii());
@@ -117,6 +120,7 @@ const KNOWN_EXPERIMENTS: &[&str] = &[
     "baselines",
     "ablation",
     "frontier",
+    "crossover",
     "all",
 ];
 
@@ -227,6 +231,16 @@ fn main() -> ExitCode {
         emit(
             approx_frontier::frontier_speed_grid(&ctx),
             "frontier_speed",
+            &args.out,
+        );
+    }
+
+    // Explicit-only, like the frontier: a wall-clock sweep, not a paper
+    // artifact.
+    if args.experiments.iter().any(|e| e == "crossover") {
+        emit(
+            crossover::crossover_grid(&ctx),
+            "crossover_farthest",
             &args.out,
         );
     }

@@ -41,13 +41,17 @@
 //! ## Choosing a backend
 //!
 //! [`NeighborBackend`] is the user-facing switch (CLI `--backend`,
-//! `Anonymizer::with_backend`): `FlatScan`, `KdTree`, or `Auto`, which
-//! picks the tree when the matrix is large enough to amortize the build
-//! and low-dimensional enough for pruning to bite (see
-//! [`NeighborBackend::resolve`]). [`NeighborSet`] is the working-set type
-//! the clustering loops drive; it dispatches every query to the resolved
-//! backend and keeps the tree's tombstones in lockstep with the caller's
-//! live-id list.
+//! `Anonymizer::with_backend`): `FlatScan`, `KdTree`, or `Auto`. `Auto`
+//! picks a route per *query kind* ([`QueryKind`], see
+//! [`NeighborBackend::resolve`]): nearest-type queries go to the tree
+//! when the matrix is large enough to amortize the build and
+//! low-dimensional enough for pruning to bite; farthest-point queries
+//! go to the tree only at ≤ [`AUTO_FARTHEST_MAX_DIMS`] dimensions, where
+//! the committed crossover sweep shows the tree winning them.
+//! [`NeighborSet`] is the working-set type the clustering loops drive; it
+//! dispatches every query to its route, builds the tree on the first
+//! query routed to it, and from then on keeps the tree's tombstones in
+//! lockstep with the caller's live-id list.
 //!
 //! ## Approximate backends (opt-in)
 //!
@@ -73,17 +77,13 @@
 //!
 //! ## Batched queries
 //!
-//! Tree construction parallelizes ([`KdTree::build_with`]) and
-//! multi-query requests amortize traversal ([`KdTree::k_nearest_batch`],
-//! [`KdTree::k_nearest_with_far_candidates`]) — both without leaving the
-//! exactness contract: the parallel build produces a tree equal in every
-//! field to the sequential one, and a batched traversal prunes a subtree
-//! only when *every* constituent query would prune it, so each query sees
-//! a superset of its solo visit set and the total-order candidate
-//! filtering returns exactly the solo answers. [`QueryMode`] keeps the
-//! per-query formulation available as a differential reference
-//! (`TCLOSE_QUERY_MODE=per-query`); `docs/ALGORITHMS.md` walks through
-//! the exactness argument.
+//! Tree construction parallelizes ([`KdTree::build_with`]) and produces
+//! a tree equal in every field to the sequential one. A batch of nearest
+//! queries ([`NeighborSet::nearest_batch`]) pays only on the flat
+//! backend, where the blocked scan streams the matrix once per block
+//! instead of once per query; on the tree each point is answered by its
+//! own traversal (a shared-frontier walk measured 2–60× slower, see
+//! `docs/PERFORMANCE.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,86 +99,6 @@ pub use tree::KdTree;
 use std::fmt;
 use std::str::FromStr;
 
-/// Whether a [`NeighborSet`] on the kd-tree backend serves multi-query
-/// requests through the shared/fused traversals
-/// ([`KdTree::k_nearest_batch`], [`KdTree::k_nearest_with_far_candidates`])
-/// or through one from-the-root traversal per query.
-///
-/// Both modes are exact and share one tie-breaking order, so the choice
-/// can never change a partition or a release — only wall-clock time. The
-/// per-query mode exists for differential testing and perf bisection; the
-/// `TCLOSE_QUERY_MODE` environment variable (`batched` | `per-query`,
-/// checked at [`NeighborSet::new`]) forces it process-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryMode {
-    /// Amortize tree traversal across the whole request (default).
-    #[default]
-    Batched,
-    /// One independent traversal per query point (the pre-batching
-    /// formulation, kept as the differential reference).
-    PerQuery,
-}
-
-impl QueryMode {
-    /// The mode an optional `TCLOSE_QUERY_MODE` value requests,
-    /// defaulting to [`QueryMode::Batched`] when unset. A set-but-invalid
-    /// value is an error, never a silent fallback — a misspelled forced
-    /// mode falling back to the default would defeat the differential run
-    /// that set it.
-    pub fn from_env_value(value: Option<&str>) -> Result<QueryMode, String> {
-        match value {
-            None => Ok(QueryMode::default()),
-            Some(s) => s
-                .parse()
-                .map_err(|e| format!("invalid TCLOSE_QUERY_MODE: {e}")),
-        }
-    }
-
-    /// The mode `TCLOSE_QUERY_MODE` requests, defaulting to
-    /// [`QueryMode::Batched`]. Read per call (not cached): the variable
-    /// only steers future [`NeighborSet`] constructions, and both modes
-    /// return identical results anyway.
-    ///
-    /// On an unrecognized value this prints a one-line actionable error
-    /// and exits with status 2, matching the CLI's typed-failure
-    /// convention (see [`QueryMode::from_env_value`] for the pure,
-    /// testable core).
-    pub fn from_env() -> QueryMode {
-        match Self::from_env_value(std::env::var("TCLOSE_QUERY_MODE").ok().as_deref()) {
-            Ok(mode) => mode,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-impl fmt::Display for QueryMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            QueryMode::Batched => "batched",
-            QueryMode::PerQuery => "per-query",
-        })
-    }
-}
-
-impl FromStr for QueryMode {
-    type Err = String;
-
-    /// Parses `batched` / `per-query` (also `perquery`, `per_query`),
-    /// case-insensitive.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "batched" | "batch" => Ok(QueryMode::Batched),
-            "per-query" | "perquery" | "per_query" => Ok(QueryMode::PerQuery),
-            other => Err(format!(
-                "unknown query mode {other:?} (expected batched|per-query)"
-            )),
-        }
-    }
-}
-
 /// Which neighbor-search backend the clustering loops should use.
 ///
 /// `Auto`, `FlatScan`, and `KdTree` are exact and share one tie-breaking
@@ -190,9 +110,11 @@ impl FromStr for QueryMode {
 /// are therefore never chosen by `Auto`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NeighborBackend {
-    /// Decide per matrix: kd-tree for large, low-dimensional working sets
-    /// (`n ≥ `[`AUTO_MIN_ROWS`] and `1 ≤ dims ≤ `[`AUTO_MAX_DIMS`]), flat
-    /// scans otherwise. Never resolves to an approximate backend.
+    /// Decide per query kind: the kd-tree for nearest-type queries on
+    /// large, low-dimensional matrices (`n ≥ `[`AUTO_MIN_ROWS`] and
+    /// `1 ≤ dims ≤ `[`AUTO_MAX_DIMS`]) and for farthest-point queries
+    /// under the same size rule at `dims ≤ `[`AUTO_FARTHEST_MAX_DIMS`];
+    /// flat scans otherwise. Never resolves to an approximate backend.
     #[default]
     Auto,
     /// Always the blocked linear-scan kernels of `tclose-metrics` —
@@ -212,19 +134,42 @@ pub enum NeighborBackend {
     Hybrid,
 }
 
-/// Minimum row count at which `Auto` switches to the kd-tree (below this
-/// the `O(n log n)` build costs more than the scans it saves). The
-/// `backend_crossover` benchmark (`docs/PERFORMANCE.md`) measures the
-/// tree ≥ 3× ahead from ~512 rows on; 1024 keeps a safety margin for
-/// degenerate shapes while catching every working set where the win is
-/// more than microseconds.
+/// The two query kinds `Auto` routes separately: their pruning behaves
+/// differently on the kd-tree, so one crossover cannot serve both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryKind {
+    /// Nearest, k-nearest and nearest-distance queries. A small ball
+    /// around the query point prunes almost every subtree.
+    Nearest,
+    /// Farthest-point queries (`farthest_from` and the far half of
+    /// `k_nearest_with_far_candidates`). The answer sits on the hull of
+    /// the live set, and with more dimensions more boxes reach out far
+    /// enough that they cannot be pruned.
+    Farthest,
+}
+
+/// Minimum row count at which `Auto` routes any query to the kd-tree
+/// (below this the `O(n log n)` build costs more than the scans it
+/// saves). The backend-crossover table in `docs/PERFORMANCE.md` (MDAV,
+/// d = 4, `k = n/200`) has the tree ≥ 3× ahead from 512 rows on; 1024
+/// keeps a safety margin below the smallest measured win.
 pub const AUTO_MIN_ROWS: usize = 1024;
 
-/// Maximum dimensionality at which `Auto` uses the kd-tree. Bounding-box
-/// pruning loses its bite as dimensions grow (every box looks equidistant);
-/// QI embeddings in practice have ≤ 8 dimensions, which is also as far as
-/// the specialised distance kernels unroll.
+/// Maximum dimensionality at which `Auto` routes nearest-type queries to
+/// the kd-tree. Bounding-box pruning loses its bite as dimensions grow
+/// (every box looks equidistant); QI embeddings in practice have ≤ 8
+/// dimensions, which is also as far as the specialised distance kernels
+/// unroll.
 pub const AUTO_MAX_DIMS: usize = 8;
+
+/// Maximum dimensionality at which `Auto` routes farthest-point queries
+/// to the kd-tree. Taken from the farthest-query crossover sweep
+/// (`repro --exp crossover --full`, table in `docs/PERFORMANCE.md`):
+/// Algorithm 3's farthest-only loop on 10k-row patient shards runs
+/// faster on the tree at d ≤ 3 and faster on flat scans from d = 4 on
+/// (1.18× at d = 4, 1.49× at d = 7). On 50k-row shards the tree keeps a
+/// lead of under 10% up to d = 5.
+pub const AUTO_FARTHEST_MAX_DIMS: usize = 3;
 
 /// A [`NeighborBackend`] with `Auto` (and the partition-level `Hybrid`
 /// mode) resolved away to a concrete query engine.
@@ -239,19 +184,25 @@ pub enum ResolvedBackend {
 }
 
 impl NeighborBackend {
-    /// Resolves the backend for a matrix of `n_rows` × `n_cols`: explicit
-    /// choices pass through (`Hybrid` resolves to the grid for
-    /// query-level use; its coreset partitioning is intercepted earlier,
-    /// in `tclose-microagg`), `Auto` picks [`ResolvedBackend::KdTree`]
-    /// iff `n_rows ≥ `[`AUTO_MIN_ROWS`] and `1 ≤ n_cols ≤
-    /// `[`AUTO_MAX_DIMS`] — never an approximate backend.
-    pub fn resolve(self, n_rows: usize, n_cols: usize) -> ResolvedBackend {
+    /// Resolves the route of `kind` queries over a matrix of `n_rows` ×
+    /// `n_cols`: explicit choices pass through (`Hybrid` resolves to the
+    /// grid for query-level use; its coreset partitioning is intercepted
+    /// earlier, in `tclose-microagg`). `Auto` picks
+    /// [`ResolvedBackend::KdTree`] iff `n_rows ≥ `[`AUTO_MIN_ROWS`] and
+    /// `1 ≤ n_cols ≤` the kind's dimension cap ([`AUTO_MAX_DIMS`] for
+    /// [`QueryKind::Nearest`], [`AUTO_FARTHEST_MAX_DIMS`] for
+    /// [`QueryKind::Farthest`]) — never an approximate backend.
+    pub fn resolve(self, kind: QueryKind, n_rows: usize, n_cols: usize) -> ResolvedBackend {
         match self {
             NeighborBackend::FlatScan => ResolvedBackend::FlatScan,
             NeighborBackend::KdTree => ResolvedBackend::KdTree,
             NeighborBackend::Grid | NeighborBackend::Hybrid => ResolvedBackend::Grid,
             NeighborBackend::Auto => {
-                if n_rows >= AUTO_MIN_ROWS && (1..=AUTO_MAX_DIMS).contains(&n_cols) {
+                let max_dims = match kind {
+                    QueryKind::Nearest => AUTO_MAX_DIMS,
+                    QueryKind::Farthest => AUTO_FARTHEST_MAX_DIMS,
+                };
+                if n_rows >= AUTO_MIN_ROWS && (1..=max_dims).contains(&n_cols) {
                     ResolvedBackend::KdTree
                 } else {
                     ResolvedBackend::FlatScan
@@ -305,62 +256,40 @@ mod tests {
 
     #[test]
     fn auto_resolution_rules() {
+        use QueryKind::{Farthest, Nearest};
         use ResolvedBackend::*;
-        assert_eq!(NeighborBackend::Auto.resolve(AUTO_MIN_ROWS, 4), KdTree);
+        let auto = NeighborBackend::Auto;
+        assert_eq!(auto.resolve(Nearest, AUTO_MIN_ROWS, 4), KdTree);
+        assert_eq!(auto.resolve(Nearest, AUTO_MIN_ROWS - 1, 4), FlatScan);
+        assert_eq!(auto.resolve(Nearest, 100_000, AUTO_MAX_DIMS), KdTree);
+        assert_eq!(auto.resolve(Nearest, 100_000, AUTO_MAX_DIMS + 1), FlatScan);
+        assert_eq!(auto.resolve(Nearest, 100_000, 0), FlatScan);
+        // farthest queries: the same size rule, a lower dimension cap
+        assert_eq!(auto.resolve(Farthest, AUTO_MIN_ROWS, 1), KdTree);
         assert_eq!(
-            NeighborBackend::Auto.resolve(AUTO_MIN_ROWS - 1, 4),
-            FlatScan
-        );
-        assert_eq!(
-            NeighborBackend::Auto.resolve(100_000, AUTO_MAX_DIMS),
+            auto.resolve(Farthest, 100_000, AUTO_FARTHEST_MAX_DIMS),
             KdTree
         );
         assert_eq!(
-            NeighborBackend::Auto.resolve(100_000, AUTO_MAX_DIMS + 1),
+            auto.resolve(Farthest, 100_000, AUTO_FARTHEST_MAX_DIMS + 1),
             FlatScan
         );
-        assert_eq!(NeighborBackend::Auto.resolve(100_000, 0), FlatScan);
-        // explicit choices ignore the shape
-        assert_eq!(NeighborBackend::KdTree.resolve(2, 100), KdTree);
-        assert_eq!(NeighborBackend::FlatScan.resolve(1_000_000, 2), FlatScan);
-        // approximate variants are explicit-only and resolve to the grid
-        assert_eq!(NeighborBackend::Grid.resolve(2, 100), Grid);
-        assert_eq!(NeighborBackend::Hybrid.resolve(10_000_000, 2), Grid);
+        assert_eq!(auto.resolve(Farthest, AUTO_MIN_ROWS - 1, 2), FlatScan);
+        assert_eq!(auto.resolve(Farthest, 100_000, 0), FlatScan);
+        for kind in [Nearest, Farthest] {
+            // explicit choices ignore the shape and the query kind
+            assert_eq!(NeighborBackend::KdTree.resolve(kind, 2, 100), KdTree);
+            assert_eq!(
+                NeighborBackend::FlatScan.resolve(kind, 1_000_000, 2),
+                FlatScan
+            );
+            // approximate variants are explicit-only and resolve to the grid
+            assert_eq!(NeighborBackend::Grid.resolve(kind, 2, 100), Grid);
+            assert_eq!(NeighborBackend::Hybrid.resolve(kind, 10_000_000, 2), Grid);
+        }
         assert!(NeighborBackend::Grid.is_approximate());
         assert!(NeighborBackend::Hybrid.is_approximate());
         assert!(!NeighborBackend::Auto.is_approximate());
-    }
-
-    #[test]
-    fn query_mode_env_value_errors_instead_of_panicking() {
-        assert_eq!(QueryMode::from_env_value(None).unwrap(), QueryMode::Batched);
-        assert_eq!(
-            QueryMode::from_env_value(Some("per-query")).unwrap(),
-            QueryMode::PerQuery
-        );
-        let err = QueryMode::from_env_value(Some("warp-speed")).unwrap_err();
-        assert!(
-            err.contains("invalid TCLOSE_QUERY_MODE") && err.contains("batched|per-query"),
-            "error must name the variable and the accepted values: {err}"
-        );
-    }
-
-    #[test]
-    fn query_mode_parse_and_display_round_trip() {
-        for (s, want) in [
-            ("batched", QueryMode::Batched),
-            ("Batch", QueryMode::Batched),
-            ("per-query", QueryMode::PerQuery),
-            ("PerQuery", QueryMode::PerQuery),
-            ("per_query", QueryMode::PerQuery),
-        ] {
-            assert_eq!(s.parse::<QueryMode>().unwrap(), want, "{s}");
-        }
-        assert!("fused".parse::<QueryMode>().is_err());
-        for m in [QueryMode::Batched, QueryMode::PerQuery] {
-            assert_eq!(m.to_string().parse::<QueryMode>().unwrap(), m);
-        }
-        assert_eq!(QueryMode::default(), QueryMode::Batched);
     }
 
     #[test]

@@ -23,15 +23,12 @@
 //!   `split_at_mut` slices, and a sequential pre-order emit pass splices
 //!   the pieces with renumbered child/parent links — reproducing exactly
 //!   the node numbering the single-threaded recursion assigns.
-//! * **Batched queries.** [`KdTree::k_nearest_batch`] answers many
-//!   queries in one traversal: a subtree is pruned only when **every**
-//!   still-active query prunes it, so each query sees a superset of the
-//!   nodes its solo traversal would visit — and since candidates are
-//!   filtered through the same total order (distance, row id), visiting
-//!   more nodes can never change a result, only amortize the walk.
-//!   [`KdTree::k_nearest_with_far_candidates`] fuses a k-nearest and a
-//!   k-farthest query (the two halves of an MDAV round) into one
-//!   traversal under the same all-must-prune rule.
+//! * **Fused near+far.** [`KdTree::k_nearest_with_far_candidates`]
+//!   answers a k-nearest and a k-farthest query (the two halves of an
+//!   MDAV round) in one traversal, pruning a subtree only when both
+//!   halves prune it; candidates are filtered through the same total
+//!   order (distance, row id), so visiting more nodes never changes a
+//!   result.
 //! * **Deletion.** [`KdTree::remove`] never restructures: the row is
 //!   tombstoned (`alive` mask) and the live counters on its leaf-to-root
 //!   path are decremented, `O(depth)`. Queries skip dead rows and dead
@@ -340,43 +337,6 @@ impl KdTree {
         )
     }
 
-    /// [`k_nearest`](KdTree::k_nearest) for a batch of query points in a
-    /// **single shared traversal**: a subtree is pruned only when every
-    /// still-active query prunes it, so each query scans a superset of the
-    /// leaves its solo traversal would touch — same answers (candidates are
-    /// filtered through the same total order), one amortized walk instead
-    /// of `points.len()` from-the-root descents.
-    pub fn k_nearest_batch(&self, points: &[&[f64]], count: usize) -> Vec<Vec<RowId>> {
-        let mut best: Vec<Vec<(f64, RowId)>> = points
-            .iter()
-            .map(|_| Vec::with_capacity(count.min(self.n_live.max(1)) + 1))
-            .collect();
-        if count > 0 && self.n_live > 0 && !points.is_empty() {
-            // Segmented stack of (query, box-bound) sets: one allocation
-            // for the whole traversal instead of one `Vec` per visited
-            // node, and every box distance is computed exactly once — at
-            // the parent, where child ordering needs it — then passed
-            // down for the child's prune test.
-            let mut arena: Vec<(u32, f64)> = (0..points.len() as u32)
-                .map(|q| (q, self.min_sq_dist_to_box(0, points[q as usize])))
-                .collect();
-            let mut scratch: Vec<(u32, f64, f64)> = Vec::with_capacity(points.len());
-            self.batch_visit(0, points, count, &mut arena, 0, &mut scratch, &mut best);
-        }
-        best.into_iter()
-            .map(|b| b.into_iter().map(|(_, id)| id).collect())
-            .collect()
-    }
-
-    /// [`nearest`](KdTree::nearest) for a batch of query points in one
-    /// shared traversal (see [`k_nearest_batch`](KdTree::k_nearest_batch)).
-    pub fn nearest_batch(&self, points: &[&[f64]]) -> Vec<Option<RowId>> {
-        self.k_nearest_batch(points, 1)
-            .into_iter()
-            .map(|v| v.into_iter().next())
-            .collect()
-    }
-
     /// Smallest possible squared distance from `point` to any point inside
     /// the node's bounding box. Computed with the same per-dimension
     /// subtract/square/accumulate sequence as [`sq_dist_dim`], so in
@@ -602,95 +562,6 @@ impl KdTree {
                 self.near_far_visit(nd.left, point, near_count, far_count, near, far);
             }
         }
-    }
-
-    /// Shared-traversal k-nearest for many queries. On entry this node's
-    /// active set sits at `arena[lo..]` as `(query, this node's box
-    /// min-distance for that query)` pairs — the bound was computed by the
-    /// parent, which needed it for child ordering anyway, so per (query,
-    /// node) the geometry runs exactly once, like a solo traversal. The
-    /// node compacts its segment in place (a query prunes on the same
-    /// strict test its solo traversal uses: list full and bound strictly
-    /// beyond its worst), pushes one child segment per side with freshly
-    /// computed child bounds (`scratch` is a reusable staging buffer, far
-    /// side first so the nearer side is on top and visited first), and
-    /// truncates back to `lo` before returning — one arena allocation for
-    /// the whole traversal. A node is visited only while some query
-    /// survives, so each query scans a superset of its solo leaves; the
-    /// total order on candidates makes that result-neutral.
-    #[allow(clippy::too_many_arguments)] // the traversal state is deliberately flat (hot recursion)
-    fn batch_visit(
-        &self,
-        node: u32,
-        points: &[&[f64]],
-        count: usize,
-        arena: &mut Vec<(u32, f64)>,
-        lo: usize,
-        scratch: &mut Vec<(u32, f64, f64)>,
-        best: &mut [Vec<(f64, RowId)>],
-    ) {
-        let nd = self.nodes[node as usize];
-        let hi = arena.len();
-        if nd.live == 0 {
-            arena.truncate(lo);
-            return;
-        }
-        let mut w = lo;
-        for i in lo..hi {
-            let (q, bound) = arena[i];
-            let b = &best[q as usize];
-            if b.len() == count && bound > b[b.len() - 1].0 {
-                continue;
-            }
-            arena[w] = (q, bound);
-            w += 1;
-        }
-        arena.truncate(w);
-        if w == lo {
-            return;
-        }
-        if nd.left == NONE {
-            for pos in nd.start as usize..nd.end as usize {
-                let id = self.ids[pos];
-                if !self.alive[id.index()] {
-                    continue;
-                }
-                let row = &self.coords[pos * self.dims..(pos + 1) * self.dims];
-                for &(q, _) in &arena[lo..w] {
-                    let d = sq_dist_dim(row, points[q as usize]);
-                    offer(&mut best[q as usize], count, d, id);
-                }
-            }
-        } else {
-            // Child ordering by the tightest surviving-query bound: a
-            // heuristic only — results are visit-order independent.
-            scratch.clear();
-            let (mut dl, mut dr) = (f64::INFINITY, f64::INFINITY);
-            for &(q, _) in &arena[lo..w] {
-                let dlq = self.min_sq_dist_to_box(nd.left, points[q as usize]);
-                let drq = self.min_sq_dist_to_box(nd.right, points[q as usize]);
-                dl = dl.min(dlq);
-                dr = dr.min(drq);
-                scratch.push((q, dlq, drq));
-            }
-            let left_near = dl <= dr;
-            let (near, far) = if left_near {
-                (nd.left, nd.right)
-            } else {
-                (nd.right, nd.left)
-            };
-            let far_lo = arena.len();
-            for &(q, dlq, drq) in scratch.iter() {
-                arena.push((q, if left_near { drq } else { dlq }));
-            }
-            let near_lo = arena.len();
-            for &(q, dlq, drq) in scratch.iter() {
-                arena.push((q, if left_near { dlq } else { drq }));
-            }
-            self.batch_visit(near, points, count, arena, near_lo, scratch, best);
-            self.batch_visit(far, points, count, arena, far_lo, scratch, best);
-        }
-        arena.truncate(lo);
     }
 }
 

@@ -1,11 +1,13 @@
-//! Property tests of the batched-query and parallel-build contracts:
-//! shared/fused traversals and the multi-threaded build must be exactly
-//! equivalent to their per-query / sequential formulations — same ids,
-//! same order, same tie-breaking — on seeded random matrices, including
-//! heavy duplicate-point ties and shrinking/reinserting working sets.
+//! Property tests of the batched-query and parallel-build contracts: the
+//! blocked flat batch scan, the fused near+far tree traversal and the
+//! multi-threaded build must be exactly equivalent to their per-query /
+//! sequential formulations — same ids, same order, same tie-breaking — on
+//! seeded random matrices, including heavy duplicate-point ties and
+//! shrinking/reinserting working sets.
 
 use rand::{Rng, SeedableRng};
-use tclose_index::{KdTree, NeighborBackend, NeighborSet, QueryMode};
+use tclose_index::{KdTree, NeighborBackend, NeighborSet};
+use tclose_metrics::distance::{nearest_to_ids, nearest_to_many_ids};
 use tclose_metrics::matrix::{Matrix, RowId};
 use tclose_parallel::Parallelism;
 
@@ -61,39 +63,52 @@ fn parallel_build_produces_an_equal_tree() {
 fn batch_queries_match_per_query_on_shrinking_reinserting_sets() {
     // Mirror how V-MDAV uses the batch API: remove random batches (with
     // occasional re-insertions) and require exact agreement between the
-    // shared traversal and one solo traversal per point after every
-    // mutation.
+    // blocked flat batch scan and one flat scan per point after every
+    // mutation — on a single-block matrix and on one spanning several
+    // 4096-row blocks, at one and at several workers. Every backend's
+    // `NeighborSet::nearest_batch` must return the same answers.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA7C);
-    let (n, dims, grid) = (260usize, 3usize, 5u64);
-    let m = random_matrix(&mut rng, n, dims, grid);
-    let mut tree = KdTree::build(&m);
-    let mut live: Vec<RowId> = m.row_ids().collect();
-
-    while live.len() > 6 {
-        let batch = rng.gen_range(1..=5.min(live.len() - 1));
-        for _ in 0..batch {
-            let at = rng.gen_range(0..live.len());
-            tree.remove(live.swap_remove(at));
+    for &(n, dims, grid, step) in &[(260usize, 3usize, 5u64, 5usize), (9_000, 2, 40, 900)] {
+        let m = random_matrix(&mut rng, n, dims, grid);
+        let mut sets: Vec<NeighborSet> = [
+            NeighborBackend::FlatScan,
+            NeighborBackend::KdTree,
+            NeighborBackend::Auto,
+        ]
+        .into_iter()
+        .map(|b| NeighborSet::new(&m, b, Parallelism::workers(2)))
+        .collect();
+        let mut live: Vec<RowId> = m.row_ids().collect();
+        while live.len() > 6 {
+            let batch = rng.gen_range(1..=step.min(live.len() - 1));
+            for _ in 0..batch {
+                let id = live.swap_remove(rng.gen_range(0..live.len()));
+                sets.iter_mut().for_each(|s| s.remove(id));
+            }
+            if rng.gen_range(0..3u32) == 0 {
+                // Reinsert a removed row (Algorithm 2 swaps records back).
+                let id = m
+                    .row_ids()
+                    .find(|id| !live.contains(id))
+                    .expect("something was removed");
+                sets.iter_mut().for_each(|s| s.insert(id));
+                live.push(id);
+            }
+            let n_points = rng.gen_range(1..6);
+            let points = random_points(&mut rng, n_points, dims, grid);
+            let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
+            let solo: Vec<Option<RowId>> = refs
+                .iter()
+                .map(|p| nearest_to_ids(&m, &live, p, Parallelism::sequential()))
+                .collect();
+            for workers in [1usize, 3] {
+                let blocked = nearest_to_many_ids(&m, &live, &refs, Parallelism::workers(workers));
+                assert_eq!(blocked, solo, "n={n} live={} workers={workers}", live.len());
+            }
+            for (i, s) in sets.iter().enumerate() {
+                assert_eq!(s.nearest_batch(&live, &refs), solo, "n={n} set {i}");
+            }
         }
-        if rng.gen_range(0..3u32) == 0 {
-            // Reinsert a removed row (Algorithm 2 swaps records back).
-            let id = m
-                .row_ids()
-                .find(|id| !live.contains(id))
-                .expect("something was removed");
-            tree.insert(id);
-            live.push(id);
-        }
-        let n_points = rng.gen_range(1..6);
-        let points = random_points(&mut rng, n_points, dims, grid);
-        let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
-        let count = rng.gen_range(0..=live.len() + 1);
-        let batched = tree.k_nearest_batch(&refs, count);
-        let solo: Vec<Vec<RowId>> = refs.iter().map(|p| tree.k_nearest(p, count)).collect();
-        assert_eq!(batched, solo, "live={} count={count}", live.len());
-        let nearest_batched = tree.nearest_batch(&refs);
-        let nearest_solo: Vec<Option<RowId>> = refs.iter().map(|p| tree.nearest(p)).collect();
-        assert_eq!(nearest_batched, nearest_solo);
     }
 }
 
@@ -126,41 +141,46 @@ fn fused_near_far_matches_separate_queries_and_repeated_extraction() {
 }
 
 #[test]
-fn neighbor_set_agrees_across_backends_and_query_modes() {
+fn neighbor_set_agrees_across_backends_and_routes() {
+    // 240 × 3 keeps every `Auto` route flat; 1100 × 5 sends `Auto`'s
+    // nearest-type queries to the tree and its farthest queries to flat
+    // scans, so the mixed near/far request is exercised on both halves.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E7);
-    let (n, dims, grid) = (240usize, 3usize, 5u64);
-    let m = random_matrix(&mut rng, n, dims, grid);
-    let par = Parallelism::sequential();
-    let live: Vec<RowId> = m.row_ids().collect();
-    let flat = NeighborSet::new(&m, NeighborBackend::FlatScan, par);
-    let sets: Vec<NeighborSet> = vec![
-        NeighborSet::new(&m, NeighborBackend::KdTree, par).with_query_mode(QueryMode::Batched),
-        NeighborSet::new(&m, NeighborBackend::KdTree, par).with_query_mode(QueryMode::PerQuery),
-        NeighborSet::new(&m, NeighborBackend::FlatScan, par).with_query_mode(QueryMode::PerQuery),
-    ];
-    for _ in 0..15 {
-        let n_points = rng.gen_range(1..5);
-        let points = random_points(&mut rng, n_points, dims, grid);
-        let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
-        let count = rng.gen_range(0..8);
-        let exclude = rng.gen_range(0..n);
-        let base_nb = flat.nearest_batch(&live, &refs);
-        let base_kb = flat.k_nearest_batch(&live, &refs, count);
-        let base_nf = flat.k_nearest_with_far_candidates(&live, refs[0], count, count + 1);
-        let base_min = flat.min_sq_dist_to_other(&live, refs[0], exclude);
-        for (i, s) in sets.iter().enumerate() {
-            assert_eq!(s.nearest_batch(&live, &refs), base_nb, "set {i}");
-            assert_eq!(s.k_nearest_batch(&live, &refs, count), base_kb, "set {i}");
-            assert_eq!(
-                s.k_nearest_with_far_candidates(&live, refs[0], count, count + 1),
-                base_nf,
-                "set {i}"
-            );
-            assert_eq!(
-                s.min_sq_dist_to_other(&live, refs[0], exclude).to_bits(),
-                base_min.to_bits(),
-                "set {i}"
-            );
+    for &(n, dims, grid) in &[(240usize, 3usize, 5u64), (1_100, 5, 4)] {
+        let m = random_matrix(&mut rng, n, dims, grid);
+        let par = Parallelism::sequential();
+        let live: Vec<RowId> = m.row_ids().collect();
+        let flat = NeighborSet::new(&m, NeighborBackend::FlatScan, par);
+        let sets = [
+            NeighborSet::new(&m, NeighborBackend::KdTree, par),
+            NeighborSet::new(&m, NeighborBackend::Auto, par),
+        ];
+        for _ in 0..15 {
+            let n_points = rng.gen_range(1..5);
+            let points = random_points(&mut rng, n_points, dims, grid);
+            let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
+            let count = rng.gen_range(0..8);
+            let exclude = rng.gen_range(0..n);
+            let base_nb = flat.nearest_batch(&live, &refs);
+            let base_kn = flat.k_nearest(&live, refs[0], count);
+            let base_far = flat.farthest_from(&live, refs[0]);
+            let base_nf = flat.k_nearest_with_far_candidates(&live, refs[0], count, count + 1);
+            let base_min = flat.min_sq_dist_to_other(&live, refs[0], exclude);
+            for (i, s) in sets.iter().enumerate() {
+                assert_eq!(s.nearest_batch(&live, &refs), base_nb, "n={n} set {i}");
+                assert_eq!(s.k_nearest(&live, refs[0], count), base_kn, "n={n} set {i}");
+                assert_eq!(s.farthest_from(&live, refs[0]), base_far, "n={n} set {i}");
+                assert_eq!(
+                    s.k_nearest_with_far_candidates(&live, refs[0], count, count + 1),
+                    base_nf,
+                    "n={n} set {i}"
+                );
+                assert_eq!(
+                    s.min_sq_dist_to_other(&live, refs[0], exclude).to_bits(),
+                    base_min.to_bits(),
+                    "n={n} set {i}"
+                );
+            }
         }
     }
 }

@@ -19,8 +19,10 @@
 //! kd-tree backend the round instead asks for the single farthest record
 //! *after* the removal — provably the same `x_s`, but answered by a
 //! 1-candidate traversal whose pruning threshold is as tight as it gets.
-//! The two backends are exact and share one tie-breaking order, so the
-//! partition is byte-identical for any backend, query mode, *and* worker
+//! Under [`NeighborBackend::Auto`] the round follows the route of its
+//! k-nearest query, and the farthest queries take their own route (flat
+//! above 3 dimensions). The routes are exact and share one tie-breaking
+//! order, so the partition is byte-identical for any backend *and* worker
 //! count; see [`mdav_partition_with`] for the fully explicit entry point.
 
 use crate::cluster::Clustering;

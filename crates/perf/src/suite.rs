@@ -22,6 +22,7 @@ use std::time::Instant;
 use tclose_bench::{data, Problem};
 use tclose_core::{
     verify_t_closeness_with, Algorithm, Anonymizer, Confidential, FittedAnonymizer, ModelArtifact,
+    TCloseClusterer, TClosenessFirst,
 };
 use tclose_datasets::patient_discharge;
 use tclose_eval::{Context, Dataset};
@@ -261,6 +262,40 @@ fn partition_cases(cases: &mut Vec<Case>, workload: &str, rows: &Matrix, include
     }
 }
 
+/// Algorithm 3 partition cases on the default `Auto` backend, one on
+/// each side of `AUTO_FARTHEST_MAX_DIMS`: Alg. 3 asks its neighbor set
+/// only farthest-point queries, which `Auto` answers on the tree at
+/// d ≤ 3 and by flat scan above. The partition runs without the repair
+/// pass, so the case times the clustering loop alone.
+fn tfirst_partition_cases(cases: &mut Vec<Case>, n: usize) {
+    let mut d3 = data::patient(n);
+    d3.schema_mut()
+        .set_roles(&[
+            ("ADMISSION_DAY", AttributeRole::NonConfidential),
+            ("SEX", AttributeRole::NonConfidential),
+            ("SEVERITY", AttributeRole::NonConfidential),
+            ("PAYER", AttributeRole::NonConfidential),
+        ])
+        .expect("patient schema");
+    let label = n / 1000;
+    for (workload, table) in [
+        (format!("patient{label}k_d7"), data::patient(n)),
+        (format!("patient{label}k_d3"), d3),
+    ] {
+        let problem = Problem::from_table(&table);
+        let params = Problem::params(5, 0.3);
+        let alg = TClosenessFirst::unchecked()
+            .with_backend(NeighborBackend::Auto)
+            .with_parallelism(Parallelism::sequential());
+        cases.push(Case::new(
+            format!("partition/tfirst/auto/{workload}"),
+            move || {
+                black_box(alg.cluster(black_box(&problem.rows), &problem.conf, params));
+            },
+        ));
+    }
+}
+
 /// Approximate-backend frontier cases: the exact kd-tree vs the `grid`
 /// and `hybrid` opt-ins on the same seeded blob workload, at the
 /// small-`k` regime (`k = n/10_000`, min 10) where the exact `O(n²/k)`
@@ -479,6 +514,7 @@ pub fn catalog(suite: Suite) -> Result<Vec<Case>, String> {
                 &Problem::from_table(&data::patient(4_000)).rows,
                 true,
             );
+            tfirst_partition_cases(&mut cases, 10_000);
             e2e_case(
                 &mut cases,
                 Algorithm::Merge,

@@ -1,13 +1,14 @@
 //! Cross-crate guarantee of the neighbor-search backends: swapping
-//! `FlatScan` for `KdTree` (at any worker count) never changes a
+//! `FlatScan`, `KdTree` and `Auto` (at any worker count) never changes a
 //! partition, a released table, or an audit — only wall-clock time.
 //!
 //! Extends the `tests/streaming_engine.rs` pattern: the synthetic census
 //! data goes through the full pipeline under every combination of
-//! 3 algorithms × 2 normalizations × workers {1, 4} × both explicit
-//! backends, and the serialized CSV releases must be byte-identical.
-//! A second sweep swaps the kd-tree query mode (batched shared traversals
-//! vs one traversal per query, `TCLOSE_QUERY_MODE`) into the grid.
+//! 3 algorithms × 2 normalizations × workers {1, 4} × the three exact
+//! backends, and the serialized CSV releases must be byte-identical. A
+//! 7-QI patient sweep through the sharded engine covers the shape where
+//! `Auto` splits its routes (nearest-type queries on the tree, farthest
+//! queries on flat scans).
 
 use std::path::PathBuf;
 
@@ -27,7 +28,11 @@ fn releases_are_byte_identical_across_backends_and_worker_counts() {
         for method in [NormalizeMethod::ZScore, NormalizeMethod::MinMax] {
             let mut releases: Vec<(String, String, f64)> = Vec::new();
             for workers in [1usize, 4] {
-                for backend in [NeighborBackend::FlatScan, NeighborBackend::KdTree] {
+                for backend in [
+                    NeighborBackend::FlatScan,
+                    NeighborBackend::KdTree,
+                    NeighborBackend::Auto,
+                ] {
                     let out = Anonymizer::new(5, 0.25)
                         .algorithm(alg)
                         .normalization(method)
@@ -53,58 +58,6 @@ fn releases_are_byte_identical_across_backends_and_worker_counts() {
                 );
                 assert_eq!(emd.to_bits(), base_emd.to_bits());
             }
-        }
-    }
-}
-
-#[test]
-fn releases_are_byte_identical_across_query_modes() {
-    // The batched kd-tree traversals (and the fused near+far requests the
-    // clustering loops now issue) must be invisible in the output: forcing
-    // one-traversal-per-query answers via `TCLOSE_QUERY_MODE` cannot
-    // change a release on any backend at any worker count. The env var is
-    // read per `NeighborSet`, and every mode returns identical results, so
-    // mutating it while sibling tests run concurrently is harmless.
-    let table = tclose::datasets::census_mcd(7);
-    for alg in [
-        Algorithm::Merge,
-        Algorithm::KAnonymityFirst,
-        Algorithm::TClosenessFirst,
-    ] {
-        let mut releases: Vec<(String, String, f64)> = Vec::new();
-        for mode in ["batched", "per-query"] {
-            std::env::set_var("TCLOSE_QUERY_MODE", mode);
-            for backend in [NeighborBackend::FlatScan, NeighborBackend::KdTree] {
-                for workers in [1usize, 4] {
-                    let out = Anonymizer::new(4, 0.2)
-                        .algorithm(alg)
-                        .with_parallelism(Parallelism::workers(workers))
-                        .with_backend(backend)
-                        .anonymize(&table)
-                        .unwrap();
-                    releases.push((
-                        format!("mode={mode} backend={backend:?} workers={workers}"),
-                        to_csv_string(&out.table).unwrap(),
-                        out.report.max_emd,
-                    ));
-                }
-            }
-        }
-        std::env::remove_var("TCLOSE_QUERY_MODE");
-        let (base_label, base_csv, base_emd) = &releases[0];
-        for (label, csv, emd) in &releases[1..] {
-            assert_eq!(
-                csv,
-                base_csv,
-                "{}: release differs between {base_label} and {label}",
-                alg.name()
-            );
-            assert_eq!(
-                emd.to_bits(),
-                base_emd.to_bits(),
-                "{}: max_emd differs between {base_label} and {label}",
-                alg.name()
-            );
         }
     }
 }
@@ -181,4 +134,67 @@ fn streaming_release_is_backend_invariant_end_to_end() {
     }
     assert_eq!(outputs[0], outputs[1], "flat vs kd-tree");
     assert_eq!(outputs[0], outputs[2], "flat vs auto");
+}
+
+#[test]
+fn seven_qi_sharded_releases_are_byte_identical_across_backends_and_workers() {
+    // Patient records with all 7 QIs, in shards of ≥ AUTO_MIN_ROWS rows:
+    // `Auto` answers nearest-type queries on the tree and farthest queries
+    // by flat scan there, so its release must match both pure backends.
+    let table = tclose::datasets::patient_discharge(31, 2_600);
+    let dir = std::env::temp_dir().join("tclose_backend_equivalence_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input: PathBuf = dir.join("patient7_in.csv");
+    tclose::microdata::csv::write_csv(&table, std::fs::File::create(&input).unwrap()).unwrap();
+
+    let qi: Vec<String> = [
+        "AGE",
+        "ZIP",
+        "ADMISSION_DAY",
+        "SEX",
+        "STAY_DAYS",
+        "SEVERITY",
+        "PAYER",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let conf: Vec<String> = vec!["CHARGE".into()];
+    for alg in [
+        Algorithm::Merge,
+        Algorithm::KAnonymityFirst,
+        Algorithm::TClosenessFirst,
+    ] {
+        let mut releases: Vec<(String, Vec<u8>)> = Vec::new();
+        for workers in [1usize, 4] {
+            for (name, backend) in [
+                ("flat", NeighborBackend::FlatScan),
+                ("kd", NeighborBackend::KdTree),
+                ("auto", NeighborBackend::Auto),
+            ] {
+                let output = dir.join(format!("patient7_{}_{name}_{workers}.csv", alg.name()));
+                let report = ShardedAnonymizer::new(5, 0.3)
+                    .algorithm(alg)
+                    .shard_rows(1_300)
+                    .with_backend(backend)
+                    .with_parallelism(Parallelism::workers(workers))
+                    .anonymize_file(&input, &output, &qi, &conf)
+                    .unwrap();
+                assert_eq!(report.n_shards, 2);
+                assert!(report.satisfies_request());
+                releases.push((
+                    format!("backend={name} workers={workers}"),
+                    std::fs::read(&output).unwrap(),
+                ));
+            }
+        }
+        let (base_label, base) = &releases[0];
+        for (label, release) in &releases[1..] {
+            assert!(
+                release == base,
+                "{}: release differs between {base_label} and {label}",
+                alg.name()
+            );
+        }
+    }
 }
