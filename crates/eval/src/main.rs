@@ -92,9 +92,10 @@ experiments: table1, table2, table3, fig5, fig6, fig7, baselines, ablation, all
              frontier (approximate-backend speed/utility; explicit only —
              not part of 'all', since the speed sweep partitions 1M rows
              per backend; --quick shrinks it to 100k)
-             crossover (Auto's farthest-query cutoff: Alg. 3 on flat vs
-             kd-tree, d = 2..8 × 2k/10k/50k shards; explicit only;
-             --quick drops the 50k shards)";
+             crossover (Auto's farthest-query cutoff: Alg. 3, MDAV,
+             Alg. 2 and V-MDAV on flat, kd-tree and auto, d = 2..8 ×
+             2k/10k/50k shards × 1/2 workers; explicit only; --quick
+             runs the 10k shards once)";
 
 fn emit(grid: Grid, slug: &str, out: &Option<PathBuf>) {
     println!("{}", grid.to_ascii());

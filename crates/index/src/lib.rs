@@ -46,8 +46,9 @@
 //! [`NeighborBackend::resolve`]): nearest-type queries go to the tree
 //! when the matrix is large enough to amortize the build and
 //! low-dimensional enough for pruning to bite; farthest-point queries
-//! go to the tree only at ≤ [`AUTO_FARTHEST_MAX_DIMS`] dimensions, where
-//! the committed crossover sweep shows the tree winning them.
+//! go to the tree only at ≤ [`AUTO_FARTHEST_MAX_DIMS`] dimensions, the
+//! largest dimension at which the committed crossover sweep still shows
+//! a clustering loop winning them on the tree.
 //! [`NeighborSet`] is the working-set type the clustering loops drive; it
 //! dispatches every query to its route, builds the tree on the first
 //! query routed to it, and from then on keeps the tree's tombstones in
@@ -163,13 +164,17 @@ pub const AUTO_MIN_ROWS: usize = 1024;
 pub const AUTO_MAX_DIMS: usize = 8;
 
 /// Maximum dimensionality at which `Auto` routes farthest-point queries
-/// to the kd-tree. Taken from the farthest-query crossover sweep
-/// (`repro --exp crossover --full`, table in `docs/PERFORMANCE.md`):
-/// Algorithm 3's farthest-only loop on 10k-row patient shards runs
-/// faster on the tree at d ≤ 3 and faster on flat scans from d = 4 on
-/// (1.18× at d = 4, 1.49× at d = 7). On 50k-row shards the tree keeps a
-/// lead of under 10% up to d = 5.
-pub const AUTO_FARTHEST_MAX_DIMS: usize = 3;
+/// to the kd-tree. Taken from the neighbor-route crossover sweep
+/// (`repro --exp crossover --full`, table in `docs/PERFORMANCE.md`),
+/// which times every loop that asks farthest queries. Algorithm 3's
+/// farthest-only loop runs faster on flat scans from d = 4 on 10k-row
+/// shards, but MDAV-family loops (farthest + k-nearest per round) keep
+/// winning on the tree through d = 5 when their flat kernels run on two
+/// workers: Algorithm 1 on 200k patient rows in 10k-row shards took
+/// 8.7% longer at d = 4 and 4.7% longer at d = 5 with flat farthest
+/// queries. From d = 6 on every loop is faster with flat farthest
+/// queries, so 5 is the cutoff no loop loses by.
+pub const AUTO_FARTHEST_MAX_DIMS: usize = 5;
 
 /// A [`NeighborBackend`] with `Auto` (and the partition-level `Hybrid`
 /// mode) resolved away to a concrete query engine.

@@ -186,10 +186,9 @@ impl<'m> NeighborSet<'m> {
     /// When both halves run flat they share one distance pass — the
     /// fusion win that motivates the API (one read of the matrix instead
     /// of two). On the tree the halves run as *separate* traversals: a
-    /// single fused walk ([`KdTree::k_nearest_with_far_candidates`]) is
-    /// exact but measured ~5× slower, because the near half wants
-    /// min-bound-first child order while the far half needs
-    /// max-bound-first to raise its pruning threshold early (see
+    /// single fused walk was exact but measured ~5× slower, because the
+    /// near half wants min-bound-first child order while the far half
+    /// needs max-bound-first to raise its pruning threshold early (see
     /// `docs/PERFORMANCE.md`). The exact routes return identical results;
     /// the grid backend answers both halves from its ring gathers
     /// (near-extremes, same structural invariants).

@@ -23,12 +23,6 @@
 //!   `split_at_mut` slices, and a sequential pre-order emit pass splices
 //!   the pieces with renumbered child/parent links — reproducing exactly
 //!   the node numbering the single-threaded recursion assigns.
-//! * **Fused near+far.** [`KdTree::k_nearest_with_far_candidates`]
-//!   answers a k-nearest and a k-farthest query (the two halves of an
-//!   MDAV round) in one traversal, pruning a subtree only when both
-//!   halves prune it; candidates are filtered through the same total
-//!   order (distance, row id), so visiting more nodes never changes a
-//!   result.
 //! * **Deletion.** [`KdTree::remove`] never restructures: the row is
 //!   tombstoned (`alive` mask) and the live counters on its leaf-to-root
 //!   path are decremented, `O(depth)`. Queries skip dead rows and dead
@@ -310,33 +304,6 @@ impl KdTree {
         best.into_iter().map(|(_, id)| id).collect()
     }
 
-    /// One traversal answering both halves of an MDAV round: the
-    /// `near_count` nearest **and** the `far_count` farthest live rows
-    /// (each list ordered and tie-broken exactly as
-    /// [`k_nearest`](KdTree::k_nearest) / [`k_farthest`](KdTree::k_farthest)
-    /// would return it). A subtree is pruned only when *both* halves prune
-    /// it; since each half filters candidates through its own total order,
-    /// the fused walk returns exactly what the two separate traversals
-    /// would — it just visits the tree once.
-    pub fn k_nearest_with_far_candidates(
-        &self,
-        point: &[f64],
-        near_count: usize,
-        far_count: usize,
-    ) -> (Vec<RowId>, Vec<RowId>) {
-        debug_assert_eq!(point.len(), self.dims);
-        if self.n_live == 0 || (near_count == 0 && far_count == 0) {
-            return (Vec::new(), Vec::new());
-        }
-        let mut near: Vec<(f64, RowId)> = Vec::with_capacity(near_count.min(self.n_live) + 1);
-        let mut far: Vec<(f64, RowId)> = Vec::with_capacity(far_count.min(self.n_live) + 1);
-        self.near_far_visit(0, point, near_count, far_count, &mut near, &mut far);
-        (
-            near.into_iter().map(|(_, id)| id).collect(),
-            far.into_iter().map(|(_, id)| id).collect(),
-        )
-    }
-
     /// Smallest possible squared distance from `point` to any point inside
     /// the node's bounding box. Computed with the same per-dimension
     /// subtract/square/accumulate sequence as [`sq_dist_dim`], so in
@@ -506,60 +473,6 @@ impl KdTree {
             } else {
                 self.k_far_visit(nd.right, point, count, best);
                 self.k_far_visit(nd.left, point, count, best);
-            }
-        }
-    }
-
-    /// Fused near+far traversal: descends while **either** half still
-    /// needs the subtree, offers every live leaf row to both candidate
-    /// lists. Each half's prune test is exactly its solo traversal's test,
-    /// so visiting a superset of either solo walk cannot change results.
-    fn near_far_visit(
-        &self,
-        node: u32,
-        point: &[f64],
-        near_count: usize,
-        far_count: usize,
-        near: &mut Vec<(f64, RowId)>,
-        far: &mut Vec<(f64, RowId)>,
-    ) {
-        let nd = self.nodes[node as usize];
-        if nd.live == 0 {
-            return;
-        }
-        let near_done = near_count == 0
-            || (near.len() == near_count
-                && self.min_sq_dist_to_box(node, point) > near[near.len() - 1].0);
-        let far_done = far_count == 0
-            || (far.len() == far_count
-                && self.max_sq_dist_to_box(node, point) < far[far.len() - 1].0);
-        if near_done && far_done {
-            return;
-        }
-        if nd.left == NONE {
-            for pos in nd.start as usize..nd.end as usize {
-                let id = self.ids[pos];
-                if !self.alive[id.index()] {
-                    continue;
-                }
-                let row = &self.coords[pos * self.dims..(pos + 1) * self.dims];
-                let d = sq_dist_dim(row, point);
-                if near_count > 0 {
-                    offer(near, near_count, d, id);
-                }
-                offer_far(far, far_count, d, id);
-            }
-        } else {
-            // Near-side ordering (the k-nearest half dominates the work in
-            // the MDAV loop); order is correctness-neutral for both halves.
-            let dl = self.min_sq_dist_to_box(nd.left, point);
-            let dr = self.min_sq_dist_to_box(nd.right, point);
-            if dl <= dr {
-                self.near_far_visit(nd.left, point, near_count, far_count, near, far);
-                self.near_far_visit(nd.right, point, near_count, far_count, near, far);
-            } else {
-                self.near_far_visit(nd.right, point, near_count, far_count, near, far);
-                self.near_far_visit(nd.left, point, near_count, far_count, near, far);
             }
         }
     }

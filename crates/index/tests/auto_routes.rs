@@ -77,7 +77,7 @@ fn lazily_built_tree_starts_with_removed_rows_tombstoned() {
     // Above the farthest cutoff the first nearest-type query builds the
     // tree mid-run: rows removed before it must already be dead, and
     // later removals and re-insertions must reach the new tree.
-    let m = random_matrix(5, 1_500, 5);
+    let m = random_matrix(5, 1_500, AUTO_FARTHEST_MAX_DIMS + 1);
     let par = Parallelism::sequential();
     let mut flat = NeighborSet::new(&m, NeighborBackend::FlatScan, par);
     let mut auto = NeighborSet::new(&m, NeighborBackend::Auto, par);

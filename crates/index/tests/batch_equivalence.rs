@@ -1,5 +1,5 @@
 //! Property tests of the batched-query and parallel-build contracts: the
-//! blocked flat batch scan, the fused near+far tree traversal and the
+//! blocked flat batch scan, the combined near+far request and the
 //! multi-threaded build must be exactly equivalent to their per-query /
 //! sequential formulations — same ids, same order, same tie-breaking — on
 //! seeded random matrices, including heavy duplicate-point ties and
@@ -114,39 +114,48 @@ fn batch_queries_match_per_query_on_shrinking_reinserting_sets() {
 
 #[test]
 fn fused_near_far_matches_separate_queries_and_repeated_extraction() {
+    // `NeighborSet::k_nearest_with_far_candidates` shares one distance
+    // pass on flat scans and runs two traversals on the tree; on both,
+    // each half must equal its solo query, and the far half must be the
+    // sequence repeated farthest-point extraction with removal produces.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA2);
     for &(n, dims, grid) in &[(64usize, 1usize, 3u64), (200, 2, 6), (300, 4, 2)] {
         let m = random_matrix(&mut rng, n, dims, grid);
-        let tree = KdTree::build(&m);
-        for _ in 0..12 {
-            let point: Vec<f64> = (0..dims)
-                .map(|_| rng.gen_range(0..grid) as f64 * 0.25)
-                .collect();
-            let nc = rng.gen_range(0..=n / 2);
-            let fc = rng.gen_range(0..=n / 2);
-            let (near, far) = tree.k_nearest_with_far_candidates(&point, nc, fc);
-            assert_eq!(near, tree.k_nearest(&point, nc), "near n={n} dims={dims}");
-            assert_eq!(far, tree.k_farthest(&point, fc), "far n={n} dims={dims}");
-            // k_farthest == repeated farthest extraction with removal.
-            let mut scratch = tree.clone();
-            let mut naive = Vec::new();
-            for _ in 0..fc.min(n) {
-                let id = scratch.farthest_from(&point).expect("rows remain");
-                naive.push(id);
-                scratch.remove(id);
+        let par = Parallelism::sequential();
+        let live: Vec<RowId> = m.row_ids().collect();
+        for backend in [NeighborBackend::FlatScan, NeighborBackend::KdTree] {
+            let set = NeighborSet::new(&m, backend, par);
+            for _ in 0..12 {
+                let point: Vec<f64> = (0..dims)
+                    .map(|_| rng.gen_range(0..grid) as f64 * 0.25)
+                    .collect();
+                let nc = rng.gen_range(0..=n / 2);
+                let fc = rng.gen_range(0..=n / 2);
+                let (near, far) = set.k_nearest_with_far_candidates(&live, &point, nc, fc);
+                let ctx = format!("{backend} n={n} dims={dims} nc={nc} fc={fc}");
+                assert_eq!(near, set.k_nearest(&live, &point, nc), "near {ctx}");
+                let mut scratch = NeighborSet::new(&m, backend, par);
+                let mut pool = live.clone();
+                let mut naive = Vec::new();
+                for _ in 0..fc.min(n) {
+                    let id = scratch.farthest_from(&pool, &point).expect("rows remain");
+                    naive.push(id);
+                    pool.retain(|&r| r != id);
+                    scratch.remove(id);
+                }
+                assert_eq!(far, naive, "far {ctx}");
             }
-            assert_eq!(far, naive, "extraction n={n} dims={dims} fc={fc}");
         }
     }
 }
 
 #[test]
 fn neighbor_set_agrees_across_backends_and_routes() {
-    // 240 × 3 keeps every `Auto` route flat; 1100 × 5 sends `Auto`'s
+    // 240 × 3 keeps every `Auto` route flat; 1100 × 6 sends `Auto`'s
     // nearest-type queries to the tree and its farthest queries to flat
     // scans, so the mixed near/far request is exercised on both halves.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E7);
-    for &(n, dims, grid) in &[(240usize, 3usize, 5u64), (1_100, 5, 4)] {
+    for &(n, dims, grid) in &[(240usize, 3usize, 5u64), (1_100, 6, 4)] {
         let m = random_matrix(&mut rng, n, dims, grid);
         let par = Parallelism::sequential();
         let live: Vec<RowId> = m.row_ids().collect();

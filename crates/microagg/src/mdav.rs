@@ -21,7 +21,7 @@
 //! 1-candidate traversal whose pruning threshold is as tight as it gets.
 //! Under [`NeighborBackend::Auto`] the round follows the route of its
 //! k-nearest query, and the farthest queries take their own route (flat
-//! above 3 dimensions). The routes are exact and share one tie-breaking
+//! above 5 dimensions). The routes are exact and share one tie-breaking
 //! order, so the partition is byte-identical for any backend *and* worker
 //! count; see [`mdav_partition_with`] for the fully explicit entry point.
 

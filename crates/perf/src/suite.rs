@@ -265,7 +265,7 @@ fn partition_cases(cases: &mut Vec<Case>, workload: &str, rows: &Matrix, include
 /// Algorithm 3 partition cases on the default `Auto` backend, one on
 /// each side of `AUTO_FARTHEST_MAX_DIMS`: Alg. 3 asks its neighbor set
 /// only farthest-point queries, which `Auto` answers on the tree at
-/// d ≤ 3 and by flat scan above. The partition runs without the repair
+/// d ≤ 5 and by flat scan above. The partition runs without the repair
 /// pass, so the case times the clustering loop alone.
 fn tfirst_partition_cases(cases: &mut Vec<Case>, n: usize) {
     let mut d3 = data::patient(n);
